@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-smoke clean
+.PHONY: all build test vet lint lint-fixtures race stress fuzz-smoke obs-smoke check bench bench-smoke bench-selftest clean
 
 all: check
 
@@ -62,6 +62,13 @@ bench:
 # benchmark bit-rot without paying for real measurement runs.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench-selftest runs the repository benchmark (perfbench/, a nested module
+# that imports this one) on every workload at tiny sizes and checks its
+# oracles and BENCHMARK.json, so CI catches perfbench breaking against the
+# root module. Takes about a minute including the build.
+bench-selftest:
+	bash perfbench/run.sh selftest
 
 clean:
 	rm -f BENCH_ADL.json BENCH_SSB.json

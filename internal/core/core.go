@@ -123,7 +123,9 @@ func Translate(sess *snowpark.Session, src string, opts Options) (*Result, error
 	opts.Strategy = ChooseStrategy(opts.Strategy, expr)
 	tsp := sp.Child("core.translate")
 	tsp.SetAttr("strategy", opts.Strategy.String())
-	df, err := TranslateExpr(sess, expr, opts)
+	df, stats, err := translateExpr(sess, expr, opts)
+	tsp.SetAttr("nested", stats.nested)
+	tsp.SetAttr("semi", stats.semi)
 	tsp.End()
 	if err != nil {
 		return nil, err
@@ -142,9 +144,22 @@ func Translate(sess *snowpark.Session, src string, opts Options) (*Result, error
 
 // TranslateExpr translates an already-parsed query.
 func TranslateExpr(sess *snowpark.Session, expr jsoniq.Expr, opts Options) (*snowpark.DataFrame, error) {
+	df, _, err := translateExpr(sess, expr, opts)
+	return df, err
+}
+
+func translateExpr(sess *snowpark.Session, expr jsoniq.Expr, opts Options) (*snowpark.DataFrame, nestedStats, error) {
 	opts.Strategy = ChooseStrategy(opts.Strategy, expr)
 	tr := &translator{sess: sess, opts: opts}
-	return tr.translateTopLevel(expr)
+	df, err := tr.translateTopLevel(expr)
+	return df, tr.stats, err
+}
+
+// nestedStats counts the nested FLWORs a translation lowered, and how many
+// of them took the semi form; core.translate reports both as span
+// attributes.
+type nestedStats struct {
+	nested, semi int
 }
 
 // translator carries per-translation state: the session (for table schema
@@ -161,6 +176,7 @@ type translator struct {
 	// preserving column-level prunability end to end (a translation-level
 	// optimization in the spirit of §VII-A).
 	tableVars map[string][]string
+	stats     nestedStats
 }
 
 func (tr *translator) fresh(prefix string) string {

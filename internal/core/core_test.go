@@ -338,6 +338,7 @@ func TestTranslateErrors(t *testing.T) {
 		`for $e in collection("missing") return $e`,                                      // unknown table
 		`for $e in collection("adl") return frobnicate($e)`,                              // unknown function
 		`for $e in collection("adl") count $c group by $q := 1 return collection("adl")`, // collection in expr
+		`let $x := 1 where $x eq 1 for $e in collection("adl") return $e`,                // where before any for
 	}
 	for _, src := range bad {
 		if _, err := Translate(sess, src, Options{}); err == nil {

@@ -131,18 +131,6 @@ func (tr *translator) binary(df *snowpark.DataFrame, x *jsoniq.Binary) (snowpark
 		return snowpark.Call("TRUNC", l.Div(r)).Cast("NUMBER"), df3, nil
 	case jsoniq.OpMod:
 		return l.Mod(r), df3, nil
-	case jsoniq.OpEq:
-		return l.Eq(r), df3, nil
-	case jsoniq.OpNe:
-		return l.Ne(r), df3, nil
-	case jsoniq.OpLt:
-		return l.Lt(r), df3, nil
-	case jsoniq.OpLe:
-		return l.Le(r), df3, nil
-	case jsoniq.OpGt:
-		return l.Gt(r), df3, nil
-	case jsoniq.OpGe:
-		return l.Ge(r), df3, nil
 	case jsoniq.OpAnd:
 		return l.And(r), df3, nil
 	case jsoniq.OpOr:
@@ -153,7 +141,29 @@ func (tr *translator) binary(df *snowpark.DataFrame, x *jsoniq.Binary) (snowpark
 		// `a to b` is the inclusive integer range; ARRAY_RANGE is [lo, hi).
 		return snowpark.ArrayRange(l, r.Add(snowpark.LitInt(1))), df3, nil
 	}
+	if c, ok := compare(x.Op, l, r); ok {
+		return c, df3, nil
+	}
 	return snowpark.Column{}, nil, fmt.Errorf("core: unsupported operator %s", x.Op)
+}
+
+// compare translates a comparison operator; ok is false for other operators.
+func compare(op jsoniq.BinaryOp, l, r snowpark.Column) (snowpark.Column, bool) {
+	switch op {
+	case jsoniq.OpEq:
+		return l.Eq(r), true
+	case jsoniq.OpNe:
+		return l.Ne(r), true
+	case jsoniq.OpLt:
+		return l.Lt(r), true
+	case jsoniq.OpLe:
+		return l.Le(r), true
+	case jsoniq.OpGt:
+		return l.Gt(r), true
+	case jsoniq.OpGe:
+		return l.Ge(r), true
+	}
+	return snowpark.Column{}, false
 }
 
 // scalarFunctions maps plain JSONiq builtins onto SQL scalar functions.

@@ -36,6 +36,9 @@ func (ctx *clauseContext) markNonNull(name string) {
 }
 
 func (ctx *clauseContext) apply(c jsoniq.Clause) error {
+	if _, isFor := c.(*jsoniq.ForClause); !isFor && ctx.df == nil {
+		return fmt.Errorf("core: %s clause before any for clause", c.Kind())
+	}
 	switch cl := c.(type) {
 	case *jsoniq.ForClause:
 		return ctx.applyFor(cl)
@@ -48,11 +51,11 @@ func (ctx *clauseContext) apply(c jsoniq.Clause) error {
 		ctx.bind(cl.Var)
 		return nil
 	case *jsoniq.WhereClause:
-		col, df, err := ctx.tr.expr(ctx.df, cl.Cond)
+		df, err := ctx.tr.where(ctx.df, cl.Cond)
 		if err != nil {
 			return err
 		}
-		ctx.df = df.Where(col)
+		ctx.df = df
 		return nil
 	case *jsoniq.OrderByClause:
 		specs := make([]snowpark.OrderSpec, 0, len(cl.Keys))
@@ -73,9 +76,6 @@ func (ctx *clauseContext) apply(c jsoniq.Clause) error {
 		ctx.df = df.Sort(specs...)
 		return nil
 	case *jsoniq.CountClause:
-		if ctx.df == nil {
-			return fmt.Errorf("core: count clause before any for clause")
-		}
 		// The engine's projection preserves row order, so a sequence column
 		// yields 1-based positions of the current tuple stream.
 		ctx.df = ctx.df.WithColumn(cl.Var, snowpark.Seq8().Add(snowpark.LitInt(1)))

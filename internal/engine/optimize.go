@@ -535,7 +535,12 @@ func pushFilter(n Node, conjuncts []sqlast.Expr) Node {
 		x.Filter = andAll(all)
 		return x
 	case *FilterNode:
-		return pushFilter(x.Input, append(conjuncts, splitConjuncts(x.Cond)...))
+		// The inner filter's conjuncts go first: stacked filters then run in
+		// the order the query wrote them, so AND's short-circuit keeps a
+		// later predicate from evaluating rows an earlier one removed
+		// (`where $d ne 0 where 10 div $d gt 1`) and cheap early predicates
+		// shield costly later ones.
+		return pushFilter(x.Input, append(splitConjuncts(x.Cond), conjuncts...))
 	case *ProjectNode:
 		var below, above []sqlast.Expr
 		for _, c := range conjuncts {

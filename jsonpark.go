@@ -32,6 +32,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"jsonpark/internal/core"
@@ -76,7 +77,10 @@ type Warehouse struct {
 	eng  *engine.Engine
 	sess *snowpark.Session
 	obs  *obsv.Observer
-	docs map[string][]Value
+	// docs keeps every loaded document for QueryInterpreted, in the order
+	// the tables received them; docsMu guards it against concurrent loads.
+	docsMu sync.Mutex
+	docs   map[string][]Value
 	// slowThresh/slowOn arm slow-query capture (WithSlowQueryMillis):
 	// queries at or above the threshold retain their full span tree and
 	// EXPLAIN ANALYZE snapshot in the observer's slow ring.
@@ -346,6 +350,9 @@ func (w *Warehouse) LoadObject(collection string, v Value) error {
 	if err != nil {
 		return err
 	}
+	// The lock spans the table append too, so docs order matches row order.
+	w.docsMu.Lock()
+	defer w.docsMu.Unlock()
 	if err := t.AppendObject(v); err != nil {
 		return err
 	}
@@ -663,9 +670,12 @@ func (w *Warehouse) QueryInterpreted(jsoniqSrc string) ([]Value, error) {
 		return nil, err
 	}
 	rt := runtime.New(runtime.ProfileDefault)
+	w.docsMu.Lock()
 	for name, docs := range w.docs {
-		rt.LoadCollection(name, docs)
+		// Later loads append past len(docs) and never touch this prefix.
+		rt.LoadCollection(name, docs[:len(docs):len(docs)])
 	}
+	w.docsMu.Unlock()
 	return rt.Run(jsoniq.Rewrite(expr))
 }
 

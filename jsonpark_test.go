@@ -1,7 +1,9 @@
 package jsonpark
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -144,5 +146,70 @@ func TestWarehouseExplain(t *testing.T) {
 	}
 	if !strings.Contains(plan, "Scan orders") {
 		t.Errorf("plan = %s", plan)
+	}
+}
+
+// TestWarehouseConcurrentLoadAndQuery runs loads beside translated and
+// interpreted queries; under -race it guards the document list that
+// QueryInterpreted reads while LoadObject appends.
+func TestWarehouseConcurrentLoadAndQuery(t *testing.T) {
+	w := Open()
+	if err := w.CreateCollection("live", []string{"id", "xs"}); err != nil {
+		t.Fatal(err)
+	}
+	// The interpreter knows a collection from its first document on.
+	if err := w.LoadJSON("live", `{"id": -1, "xs": []}`); err != nil {
+		t.Fatal(err)
+	}
+	const loaders, perLoader = 3, 40
+	const q = `for $d in collection("live") where exists(for $x in $d.xs[] where $x gt 0 return $x) return $d.id`
+	var wg sync.WaitGroup
+	errs := make(chan error, loaders+2)
+	for l := 0; l < loaders; l++ {
+		wg.Add(1)
+		go func(l int) {
+			defer wg.Done()
+			for i := 0; i < perLoader; i++ {
+				doc := fmt.Sprintf(`{"id": %d, "xs": [%d]}`, l*perLoader+i, i%2)
+				if err := w.LoadJSON("live", doc); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(l)
+	}
+	for _, interp := range []bool{false, true} {
+		wg.Add(1)
+		go func(interp bool) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				var err error
+				if interp {
+					_, err = w.QueryInterpreted(q)
+				} else {
+					_, err = w.Query(q)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(interp)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	got, err := w.QueryItems(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := w.QueryInterpreted(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != loaders*perLoader/2 || len(want) != len(got) {
+		t.Fatalf("after the loads: translated %d items, interpreted %d, want %d", len(got), len(want), loaders*perLoader/2)
 	}
 }
