@@ -5,7 +5,8 @@
 // span lifecycle, selection-vector access discipline, lock scope across
 // NextBatch, discarded load-bearing errors, cancellation polling in
 // batch-absorbing loops, memory-governance charging, TypedCol view escapes,
-// spill-run lifecycles, and raw null-bitmap access.
+// spill-run lifecycles, raw null-bitmap access, and unsafe imports outside
+// internal/variant.
 //
 // Usage:
 //
@@ -46,7 +47,7 @@ func main() {
 
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Printf("%-13s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -97,7 +98,7 @@ func main() {
 
 	if *stats {
 		for _, s := range perAnalyzer {
-			fmt.Fprintf(os.Stderr, "jsqlint: %-12s %4d finding(s) %12s\n", s.Name, s.Findings, s.Wall.Round(time.Millisecond/10))
+			fmt.Fprintf(os.Stderr, "jsqlint: %-13s %4d finding(s) %12s\n", s.Name, s.Findings, s.Wall.Round(time.Millisecond/10))
 		}
 	}
 	if len(diags) > 0 {

@@ -11,6 +11,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"jsonpark/internal/iterplan"
 	"jsonpark/internal/jsoniq"
@@ -176,7 +178,41 @@ type translator struct {
 	// preserving column-level prunability end to end (a translation-level
 	// optimization in the spirit of §VII-A).
 	tableVars map[string][]string
-	stats     nestedStats
+	// scope maps a variable that a nested query rebinds over one of its
+	// outer columns to the fresh column holding the nested binding, so the
+	// outer column survives unchanged for the regroup and the join back.
+	scope map[string]string
+	stats nestedStats
+}
+
+// column returns the column a variable reference reads.
+func (tr *translator) column(v string) string {
+	if c, ok := tr.scope[v]; ok {
+		return c
+	}
+	return v
+}
+
+// enterNested opens a nested query's variable scope; the returned function
+// closes it, restoring the enclosing scope.
+func (tr *translator) enterNested() (exit func()) {
+	saved := tr.scope
+	tr.scope = maps.Clone(saved)
+	return func() { tr.scope = saved }
+}
+
+// bindNested returns the column a nested query binds v to: v itself, or a
+// fresh column when v names one of the query's outer columns.
+func (tr *translator) bindNested(outer []string, v string) string {
+	if !slices.Contains(outer, v) {
+		return v
+	}
+	col := tr.fresh("v")
+	if tr.scope == nil {
+		tr.scope = make(map[string]string)
+	}
+	tr.scope[v] = col
+	return col
 }
 
 func (tr *translator) fresh(prefix string) string {

@@ -17,11 +17,11 @@ func (tr *translator) expr(df *snowpark.DataFrame, e jsoniq.Expr) (snowpark.Colu
 	case *jsoniq.Literal:
 		return snowpark.Lit(x.Value), df, nil
 	case *jsoniq.VarRef:
-		return colByName(x.Name), df, nil
+		return colByName(tr.column(x.Name)), df, nil
 	case *jsoniq.Collection:
 		return snowpark.Column{}, nil, fmt.Errorf("core: collection(%q) is only allowed in for clauses", x.Name)
 	case *jsoniq.FieldAccess:
-		if vr, ok := x.Base.(*jsoniq.VarRef); ok {
+		if vr, ok := x.Base.(*jsoniq.VarRef); ok && tr.column(vr.Name) == vr.Name {
 			if cols, known := tr.tableVars[vr.Name]; known {
 				for _, c := range cols {
 					if c == x.Field {

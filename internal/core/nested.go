@@ -43,6 +43,7 @@ func (tr *translator) nestedQuery(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind 
 // groups by an injected row ID, aggregating the guarded return expression
 // and ANY_VALUE of every outer column.
 func (tr *translator) nestedKeep(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind aggKind) (snowpark.Column, *snowpark.DataFrame, error) {
+	defer tr.enterNested()()
 	rid := tr.fresh("rid")
 	keep := tr.fresh("keep")
 	outerCols := df.Columns()
@@ -67,9 +68,9 @@ func (tr *translator) nestedKeep(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind a
 			}
 			alias := tr.fresh("f")
 			df = ndf.Flatten(col, alias, true)
-			df = df.WithColumn(cl.Var, snowpark.FlattenValue(alias))
+			df = df.WithColumn(tr.bindNested(outerCols, cl.Var), snowpark.FlattenValue(alias))
 			if cl.PosVar != "" {
-				df = df.WithColumn(cl.PosVar, snowpark.FlattenIndex(alias).Add(snowpark.LitInt(1)))
+				df = df.WithColumn(tr.bindNested(outerCols, cl.PosVar), snowpark.FlattenIndex(alias).Add(snowpark.LitInt(1)))
 			}
 			// Only the padding row of the OUTER flatten has a NULL index; a
 			// JSON null member is a real item and stays eligible.
@@ -83,7 +84,7 @@ func (tr *translator) nestedKeep(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind a
 			if err != nil {
 				return snowpark.Column{}, nil, err
 			}
-			df = ndf.WithColumn(cl.Var, col)
+			df = ndf.WithColumn(tr.bindNested(outerCols, cl.Var), col)
 		case *jsoniq.WhereClause:
 			col, ndf, err := tr.expr(df, cl.Cond)
 			if err != nil {
@@ -129,6 +130,7 @@ func (tr *translator) nestedKeep(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind a
 // flatten, real where filters); its per-row-ID aggregate is joined back to
 // the copy with a left outer join, and missing results are defaulted.
 func (tr *translator) nestedJoin(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind aggKind) (snowpark.Column, *snowpark.DataFrame, error) {
+	defer tr.enterNested()()
 	rid := tr.fresh("rid")
 	base := df.WithColumn(rid, snowpark.Seq8())
 	inner, orderSpecs, err := tr.nestedClauses(base, f)
@@ -183,6 +185,7 @@ func (tr *translator) nestedJoin(df *snowpark.DataFrame, f *jsoniq.FLWOR, kind a
 func (tr *translator) nestedSemi(df *snowpark.DataFrame, f *jsoniq.FLWOR) (snowpark.Column, *snowpark.DataFrame, error) {
 	tr.stats.nested++
 	tr.stats.semi++
+	defer tr.enterNested()()
 	rid := tr.fresh("rid")
 	outerCols := df.Columns()
 	inner, _, err := tr.nestedClauses(df.WithColumn(rid, snowpark.Seq8()), f)
@@ -218,7 +221,7 @@ func (tr *translator) where(df *snowpark.DataFrame, cond jsoniq.Expr) (*snowpark
 		}
 	}
 	for _, c := range splitAnd(cond, nil) {
-		if s, ok := semiConjunct(c); ok && !bindsAny(s.f, df.Columns()) {
+		if s, ok := semiConjunct(c); ok {
 			flush()
 			n, ndf, err := tr.nestedSemi(df, s.f)
 			if err != nil {
@@ -314,34 +317,13 @@ func (s semiTest) falseAtZero() bool {
 	return false
 }
 
-// bindsAny reports whether the nested query rebinds one of the outer
-// columns. The regrouping carries outer columns by name, so a rebound one
-// would carry the nested value; such queries keep the strategy's form.
-func bindsAny(f *jsoniq.FLWOR, cols []string) bool {
-	outer := make(map[string]bool, len(cols))
-	for _, c := range cols {
-		outer[c] = true
-	}
-	for _, c := range f.Clauses {
-		switch cl := c.(type) {
-		case *jsoniq.ForClause:
-			if outer[cl.Var] || outer[cl.PosVar] {
-				return true
-			}
-		case *jsoniq.LetClause:
-			if outer[cl.Var] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // nestedClauses applies a nested FLWOR's clauses with real row elimination,
 // the clause loop of the JOIN strategy and the semi form: for clauses
-// flatten inner unless `allowing empty`, and where clauses filter.
+// flatten inner unless `allowing empty`, and where clauses filter. A
+// variable that rebinds an outer column binds to a fresh column instead.
 func (tr *translator) nestedClauses(df *snowpark.DataFrame, f *jsoniq.FLWOR) (*snowpark.DataFrame, []snowpark.OrderSpec, error) {
 	var orderSpecs []snowpark.OrderSpec
+	outerCols := df.Columns()
 	for _, c := range f.Clauses {
 		switch cl := c.(type) {
 		case *jsoniq.ForClause:
@@ -354,16 +336,16 @@ func (tr *translator) nestedClauses(df *snowpark.DataFrame, f *jsoniq.FLWOR) (*s
 			}
 			alias := tr.fresh("f")
 			df = ndf.Flatten(col, alias, cl.AllowEmpty)
-			df = df.WithColumn(cl.Var, snowpark.FlattenValue(alias))
+			df = df.WithColumn(tr.bindNested(outerCols, cl.Var), snowpark.FlattenValue(alias))
 			if cl.PosVar != "" {
-				df = df.WithColumn(cl.PosVar, snowpark.FlattenIndex(alias).Add(snowpark.LitInt(1)))
+				df = df.WithColumn(tr.bindNested(outerCols, cl.PosVar), snowpark.FlattenIndex(alias).Add(snowpark.LitInt(1)))
 			}
 		case *jsoniq.LetClause:
 			col, ndf, err := tr.expr(df, cl.Expr)
 			if err != nil {
 				return nil, nil, err
 			}
-			df = ndf.WithColumn(cl.Var, col)
+			df = ndf.WithColumn(tr.bindNested(outerCols, cl.Var), col)
 		case *jsoniq.WhereClause:
 			var err error
 			if df, err = tr.where(df, cl.Cond); err != nil {

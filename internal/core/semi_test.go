@@ -128,15 +128,49 @@ func TestSemiFormDifferential(t *testing.T) {
 			return {"id": $e.id, "n": $n}`
 		assertMatchesInterpreter(t, interp, src, map[Strategy]int{StrategyKeepFlag: 0, StrategyJoin: 0})
 	})
-	// A nested variable that rebinds an outer one keeps the strategy's
-	// form: the regrouping carries outer columns by name.
-	t.Run("rebound outer variable", func(t *testing.T) {
-		src := `for $e in collection("edge")
+	// A nested variable that rebinds an outer one binds to a fresh column,
+	// so the regroup (KEEP, semi form) and the join back (JOIN) carry the
+	// outer value, under every form.
+	shadowing := []struct {
+		name               string
+		src                string
+		keepSemi, joinSemi int
+	}{
+		{"rebound outer variable", `for $e in collection("edge")
 			let $m := $e.id
 			where exists(for $m in $e.a[] where $m.x gt 0 return 1)
-			return $e.id`
-		assertMatchesInterpreter(t, interp, src, map[Strategy]int{StrategyKeepFlag: 0, StrategyJoin: 0})
-	})
+			order by $e.id
+			return {"id": $e.id, "m": $m}`, 1, 1},
+		{"rebound let, keep and join", `for $e in collection("edge")
+			let $m := $e.id
+			where count(for $m in $e.a[] where $m.x gt 1 return $m) ge 0
+			order by $e.id
+			return {"id": $e.id, "m": $m}`, 0, 0},
+		{"rebound by a nested let", `for $e in collection("edge")
+			let $m := $e.d
+			let $n := count(for $y in $e.a[] let $m := $y.x where $m gt 0 return $m)
+			order by $e.id
+			return {"id": $e.id, "m": $m, "n": $n}`, 0, 0},
+		{"rebound position variable", `for $e in collection("edge")
+			let $i := $e.id
+			where exists(for $m at $i in $e.a[] where $i ge 2 return 1)
+			order by $e.id
+			return {"id": $e.id, "i": $i}`, 1, 1},
+		{"rebound collection variable", `for $e in collection("edge")
+			where exists(for $e in $e.a[] where $e.x gt 0 return 1)
+			order by $e.id
+			return {"id": $e.id, "d": $e.d}`, 1, 1},
+		{"rebound twice across levels", `for $e in collection("edge")
+			let $m := $e.id
+			let $n := count(for $m in $e.a[] where exists(for $m in $e.a[] where $m.x gt 2 return 1) return $m)
+			order by $e.id
+			return {"id": $e.id, "m": $m, "n": $n}`, 0, 1},
+	}
+	for _, c := range shadowing {
+		t.Run(c.name, func(t *testing.T) {
+			assertMatchesInterpreter(t, interp, c.src, map[Strategy]int{StrategyKeepFlag: c.keepSemi, StrategyJoin: c.joinSemi})
+		})
+	}
 }
 
 func assertMatchesInterpreter(t *testing.T, interp *runtime.Engine, src string, wantSemi map[Strategy]int) {

@@ -67,7 +67,8 @@ type Analyzer struct {
 
 // All returns the full jsqlint suite in reporting order: the seven
 // syntactic analyzers from PRs 4 and 7, then the five dataflow-aware
-// analyzers guarding the governance and typed-storage invariants.
+// analyzers guarding the governance and typed-storage invariants, then the
+// import check that confines package unsafe to the value model.
 func All() []*Analyzer {
 	return []*Analyzer{
 		KernelAlias,
@@ -82,6 +83,7 @@ func All() []*Analyzer {
 		TypedAlias,
 		SpillClose,
 		NullBits,
+		UnsafeConfine,
 	}
 }
 

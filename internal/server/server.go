@@ -348,6 +348,9 @@ type loadRequest struct {
 	Documents  []json.RawMessage `json:"documents"`
 }
 
+// handleLoad appends a batch of documents. It is all-or-nothing: every
+// document is parsed and checked to be an object before the first one is
+// appended, so a bad document rejects the request with nothing loaded.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -356,18 +359,25 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
+	docs := make([]variant.Value, len(req.Documents))
 	for i, raw := range req.Documents {
 		v, err := variant.ParseJSON(raw)
+		if err == nil && v.Kind() != variant.KindObject {
+			err = fmt.Errorf("not a JSON object (got %s)", v.Kind())
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("document %d: %w", i, err))
 			return
 		}
+		docs[i] = v
+	}
+	for _, v := range docs {
 		if err := s.w.LoadObject(req.Collection, v); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"loaded": len(req.Documents)})
+	writeJSON(w, http.StatusOK, map[string]int{"loaded": len(docs)})
 }
 
 type createRequest struct {

@@ -200,6 +200,24 @@ func TestMalformedJSONBody(t *testing.T) {
 	}
 }
 
+// TestLoadIsAllOrNothing: a batch whose third document is bad returns 400
+// and loads none of the batch, so a following query sees no change.
+func TestLoadIsAllOrNothing(t *testing.T) {
+	srv := testServer(t)
+	loadOrders(t, srv)
+	for _, bad := range []string{`5`, `[{"id": 9}]`, `{"id": 1e400}`} {
+		code, out := post(t, srv, "/load", `{"collection": "orders", "documents": [
+			{"id": 3, "items": []}, {"id": 4, "items": []}, `+bad+`]}`)
+		if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, "document 2") {
+			t.Fatalf("batch with bad document %s: %d %v", bad, code, out)
+		}
+		code, out = post(t, srv, "/query", ordersQuery)
+		if items, _ := out["items"].([]any); code != http.StatusOK || len(items) != 2 {
+			t.Fatalf("after rejected batch with %s: %d %v, want the 2 orders loaded before", bad, code, out)
+		}
+	}
+}
+
 func loadOrders(t *testing.T, srv *httptest.Server) {
 	t.Helper()
 	post(t, srv, "/collections", `{"name": "orders", "columns": ["id", "items"]}`)

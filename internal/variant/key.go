@@ -55,24 +55,25 @@ func (v Value) AppendGroupKey(dst []byte) []byte {
 		return appendGroupKeyNumber(dst, math.Float64frombits(v.num))
 	case KindString:
 		dst = append(dst, groupKeyString)
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		return append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, v.num)
+		return append(dst, v.str()...)
 	case KindArray:
 		dst = append(dst, groupKeyArray)
-		dst = binary.AppendUvarint(dst, uint64(len(v.arr)))
-		for _, e := range v.arr {
+		dst = binary.AppendUvarint(dst, v.num)
+		for _, e := range v.arr() {
 			dst = e.AppendGroupKey(dst)
 		}
 		return dst
 	case KindObject:
 		dst = append(dst, groupKeyObject)
-		keys := append([]string(nil), v.obj.Keys()...)
+		o := v.obj()
+		keys := append([]string(nil), o.Keys()...)
 		sort.Strings(keys)
 		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		for _, k := range keys {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
-			f, _ := v.obj.Get(k)
+			f, _ := o.Get(k)
 			dst = f.AppendGroupKey(dst)
 		}
 		return dst

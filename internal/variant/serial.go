@@ -43,23 +43,24 @@ func (v Value) AppendBinary(dst []byte) []byte {
 		return binary.BigEndian.AppendUint64(dst, v.num)
 	case KindString:
 		dst = append(dst, serString)
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		return append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, v.num)
+		return append(dst, v.str()...)
 	case KindArray:
 		dst = append(dst, serArray)
-		dst = binary.AppendUvarint(dst, uint64(len(v.arr)))
-		for _, e := range v.arr {
+		dst = binary.AppendUvarint(dst, v.num)
+		for _, e := range v.arr() {
 			dst = e.AppendBinary(dst)
 		}
 		return dst
 	case KindObject:
 		dst = append(dst, serObject)
-		keys := v.obj.Keys()
+		o := v.obj()
+		keys := o.Keys()
 		dst = binary.AppendUvarint(dst, uint64(len(keys)))
 		for i, k := range keys {
 			dst = binary.AppendUvarint(dst, uint64(len(k)))
 			dst = append(dst, k...)
-			dst = v.obj.ValueAt(i).AppendBinary(dst)
+			dst = o.ValueAt(i).AppendBinary(dst)
 		}
 		return dst
 	}
@@ -124,7 +125,7 @@ func DecodeBinary(src []byte) (Value, []byte, error) {
 			return Null, nil, fmt.Errorf("variant: decode: bad object length")
 		}
 		src = src[w:]
-		o := NewObject()
+		o := newObjectCap(int(min(n, uint64(len(src)))))
 		for i := uint64(0); i < n; i++ {
 			klen, kw := binary.Uvarint(src)
 			if kw <= 0 || uint64(len(src)-kw) < klen {

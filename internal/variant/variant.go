@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic type of a Value.
@@ -52,19 +53,43 @@ func (k Kind) String() string {
 // Value is an immutable dynamically typed value. The zero Value is SQL NULL.
 // Values are cheap to copy; arrays and objects share their backing storage,
 // so callers must not mutate the slices returned by Array, Keys or Fields.
+//
+// Value is 24 bytes with a single pointer word, because every layer holds
+// millions of them and the garbage collector scans each pointer word:
+//
+//   - null, bool, int and float keep their payload in num;
+//   - a string keeps its data pointer in ptr and its length in num;
+//   - an array keeps its element pointer in ptr and its length in num, so
+//     AsArray returns a slice whose capacity equals its length;
+//   - an object keeps its *Object in ptr.
+//
+// Only str, arr and obj rebuild the Go string, slice or pointer from ptr.
 type Value struct {
+	_    [0]func()      // keeps Value incomparable: == would compare pointers
+	ptr  unsafe.Pointer // string data, first array element, or *Object
+	num  uint64         // bool (0/1), int64 bits, float64 bits, or string/array length
 	kind Kind
-	num  uint64 // bool (0/1), int64 bits, or float64 bits
-	str  string
-	arr  []Value
-	obj  *Object
 }
+
+// str returns the string payload; v must be KindString.
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.num)) }
+
+// arr returns the array payload (len == cap); v must be KindArray.
+func (v Value) arr() []Value { return unsafe.Slice((*Value)(v.ptr), int(v.num)) }
+
+// obj returns the object payload (possibly nil); v must be KindObject.
+func (v Value) obj() *Object { return (*Object)(v.ptr) }
+
+// smallObjectFields is the largest object whose fields Get and Set find by
+// a linear scan of keys. The name index is built when a field is added
+// beyond it.
+const smallObjectFields = 8
 
 // Object is an insertion-ordered string-keyed record.
 type Object struct {
 	keys   []string
 	values []Value
-	index  map[string]int
+	index  map[string]int // nil while len(keys) <= smallObjectFields
 }
 
 // Null is the SQL NULL value.
@@ -86,21 +111,28 @@ func Int(i int64) Value { return Value{kind: KindInt, num: uint64(i)} }
 func Float(f float64) Value { return Value{kind: KindFloat, num: math.Float64bits(f)} }
 
 // String returns a string value.
-func String(s string) Value { return Value{kind: KindString, str: s} }
+func String(s string) Value {
+	return Value{kind: KindString, ptr: unsafe.Pointer(unsafe.StringData(s)), num: uint64(len(s))}
+}
 
 // Array returns an array value wrapping vs without copying.
-func Array(vs ...Value) Value { return Value{kind: KindArray, arr: vs} }
+func Array(vs ...Value) Value { return ArrayOf(vs) }
 
 // ArrayOf returns an array value backed directly by vs.
-func ArrayOf(vs []Value) Value { return Value{kind: KindArray, arr: vs} }
+func ArrayOf(vs []Value) Value {
+	return Value{kind: KindArray, ptr: unsafe.Pointer(unsafe.SliceData(vs)), num: uint64(len(vs))}
+}
 
 // NewObject returns an empty mutable object builder.
-func NewObject() *Object {
-	return &Object{index: make(map[string]int)}
+func NewObject() *Object { return &Object{} }
+
+// newObjectCap returns an empty object with room for n fields.
+func newObjectCap(n int) *Object {
+	return &Object{keys: make([]string, 0, n), values: make([]Value, 0, n)}
 }
 
 // ObjectValue wraps a finished Object as a Value.
-func ObjectValue(o *Object) Value { return Value{kind: KindObject, obj: o} }
+func ObjectValue(o *Object) Value { return Value{kind: KindObject, ptr: unsafe.Pointer(o)} }
 
 // ObjectFromPairs builds an object value from alternating key, value pairs.
 func ObjectFromPairs(pairs ...any) Value {
@@ -124,14 +156,38 @@ func ObjectFromPairs(pairs ...any) Value {
 
 // Set inserts or replaces a field. It returns the object for chaining.
 func (o *Object) Set(key string, v Value) *Object {
-	if i, ok := o.index[key]; ok {
+	if i := o.find(key); i >= 0 {
 		o.values[i] = v
 		return o
 	}
-	o.index[key] = len(o.keys)
+	if o.index != nil {
+		o.index[key] = len(o.keys)
+	}
 	o.keys = append(o.keys, key)
 	o.values = append(o.values, v)
+	if o.index == nil && len(o.keys) > smallObjectFields {
+		o.index = make(map[string]int, len(o.keys))
+		for i, k := range o.keys {
+			o.index[k] = i
+		}
+	}
 	return o
+}
+
+// find returns the position of key, or -1 when it is absent.
+func (o *Object) find(key string) int {
+	if o.index != nil {
+		if i, ok := o.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, k := range o.keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get returns the value of a field and whether it is present.
@@ -139,7 +195,7 @@ func (o *Object) Get(key string) (Value, bool) {
 	if o == nil {
 		return Null, false
 	}
-	if i, ok := o.index[key]; ok {
+	if i := o.find(key); i >= 0 {
 		return o.values[i], true
 	}
 	return Null, false
@@ -173,29 +229,55 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // IsNumber reports whether v is an Int or Float.
 func (v Value) IsNumber() bool { return v.kind == KindInt || v.kind == KindFloat }
 
-// AsBool returns the boolean payload; v must be KindBool.
-func (v Value) AsBool() bool { return v.num != 0 }
+// AsBool returns the boolean payload; v must be KindBool. It is false for
+// strings, arrays and objects.
+func (v Value) AsBool() bool { return v.kind < KindString && v.num != 0 }
 
-// AsInt returns the integer payload; v must be KindInt.
-func (v Value) AsInt() int64 { return int64(v.num) }
+// AsInt returns the integer payload; v must be KindInt. It is 0 for
+// strings, arrays and objects.
+func (v Value) AsInt() int64 {
+	if v.kind >= KindString {
+		return 0
+	}
+	return int64(v.num)
+}
 
-// AsFloat returns a float64 view of a numeric value (Int or Float).
+// AsFloat returns a float64 view of a numeric value (Int or Float). It is 0
+// for strings, arrays and objects.
 func (v Value) AsFloat() float64 {
-	if v.kind == KindInt {
+	switch {
+	case v.kind == KindInt:
 		return float64(int64(v.num))
+	case v.kind >= KindString:
+		return 0
 	}
 	return math.Float64frombits(v.num)
 }
 
 // AsString returns the string payload; v must be KindString.
-func (v Value) AsString() string { return v.str }
+func (v Value) AsString() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.str()
+}
 
 // AsArray returns the backing slice of an array value. Callers must not
-// mutate it.
-func (v Value) AsArray() []Value { return v.arr }
+// mutate it; its capacity equals its length, so append copies.
+func (v Value) AsArray() []Value {
+	if v.kind != KindArray {
+		return nil
+	}
+	return v.arr()
+}
 
 // AsObject returns the backing Object of an object value (possibly nil).
-func (v Value) AsObject() *Object { return v.obj }
+func (v Value) AsObject() *Object {
+	if v.kind != KindObject {
+		return nil
+	}
+	return v.obj()
+}
 
 // Field returns the named field of an object value. Accessing a field of a
 // non-object, or a missing field, yields NULL — VARIANT semantics.
@@ -203,17 +285,17 @@ func (v Value) Field(name string) Value {
 	if v.kind != KindObject {
 		return Null
 	}
-	out, _ := v.obj.Get(name)
+	out, _ := v.obj().Get(name)
 	return out
 }
 
 // Index returns the i-th element of an array value (0-based). Out-of-range
 // or non-array access yields NULL.
 func (v Value) Index(i int) Value {
-	if v.kind != KindArray || i < 0 || i >= len(v.arr) {
+	if v.kind != KindArray || i < 0 || i >= int(v.num) {
 		return Null
 	}
-	return v.arr[i]
+	return v.arr()[i]
 }
 
 // Len returns the number of elements of an array or fields of an object,
@@ -221,9 +303,9 @@ func (v Value) Index(i int) Value {
 func (v Value) Len() int {
 	switch v.kind {
 	case KindArray:
-		return len(v.arr)
+		return int(v.num)
 	case KindObject:
-		return v.obj.Len()
+		return v.obj().Len()
 	}
 	return 0
 }
@@ -243,7 +325,7 @@ func (v Value) Truthy() bool {
 		f := math.Float64frombits(v.num)
 		return f != 0 && !math.IsNaN(f)
 	case KindString:
-		return v.str != ""
+		return v.num != 0
 	}
 	return true
 }
@@ -284,21 +366,20 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case KindString:
-		return strings.Compare(a.str, b.str)
+		return strings.Compare(a.str(), b.str())
 	case KindArray:
-		n := len(a.arr)
-		if len(b.arr) < n {
-			n = len(b.arr)
-		}
+		xs, ys := a.arr(), b.arr()
+		n := min(len(xs), len(ys))
 		for i := 0; i < n; i++ {
-			if c := Compare(a.arr[i], b.arr[i]); c != 0 {
+			if c := Compare(xs[i], ys[i]); c != 0 {
 				return c
 			}
 		}
-		return len(a.arr) - len(b.arr)
+		return len(xs) - len(ys)
 	case KindObject:
-		ka := append([]string(nil), a.obj.Keys()...)
-		kb := append([]string(nil), b.obj.Keys()...)
+		oa, ob := a.obj(), b.obj()
+		ka := append([]string(nil), oa.Keys()...)
+		kb := append([]string(nil), ob.Keys()...)
 		sort.Strings(ka)
 		sort.Strings(kb)
 		n := len(ka)
@@ -309,8 +390,8 @@ func Compare(a, b Value) int {
 			if c := strings.Compare(ka[i], kb[i]); c != 0 {
 				return c
 			}
-			va, _ := a.obj.Get(ka[i])
-			vb, _ := b.obj.Get(kb[i])
+			va, _ := oa.Get(ka[i])
+			vb, _ := ob.Get(kb[i])
 			if c := Compare(va, vb); c != 0 {
 				return c
 			}
@@ -378,24 +459,25 @@ func (v Value) appendHash(b *strings.Builder) {
 		b.WriteString(strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64))
 	case KindString:
 		b.WriteByte('s')
-		b.WriteString(strconv.Itoa(len(v.str)))
+		b.WriteString(strconv.Itoa(int(v.num)))
 		b.WriteByte(':')
-		b.WriteString(v.str)
+		b.WriteString(v.str())
 	case KindArray:
 		b.WriteByte('[')
-		for _, e := range v.arr {
+		for _, e := range v.arr() {
 			e.appendHash(b)
 			b.WriteByte(',')
 		}
 		b.WriteByte(']')
 	case KindObject:
 		b.WriteByte('{')
-		keys := append([]string(nil), v.obj.Keys()...)
+		o := v.obj()
+		keys := append([]string(nil), o.Keys()...)
 		sort.Strings(keys)
 		for _, k := range keys {
 			b.WriteString(k)
 			b.WriteByte('=')
-			f, _ := v.obj.Get(k)
+			f, _ := o.Get(k)
 			f.appendHash(b)
 			b.WriteByte(',')
 		}
@@ -405,7 +487,9 @@ func (v Value) appendHash(b *strings.Builder) {
 
 // DeepSizeBytes estimates the uncompressed in-memory footprint of v. The
 // storage layer uses it for micro-partition sizing and bytes-scanned
-// accounting.
+// accounting. It is a logical size — 8 bytes per scalar, string or
+// container header plus payloads — independent of how Value is laid out in
+// memory, so spill thresholds and partition sizes do not move with it.
 func (v Value) DeepSizeBytes() int64 {
 	switch v.kind {
 	case KindNull:
@@ -415,17 +499,18 @@ func (v Value) DeepSizeBytes() int64 {
 	case KindInt, KindFloat:
 		return 8
 	case KindString:
-		return int64(8 + len(v.str))
+		return int64(8 + v.num)
 	case KindArray:
 		var n int64 = 8
-		for _, e := range v.arr {
+		for _, e := range v.arr() {
 			n += e.DeepSizeBytes()
 		}
 		return n
 	case KindObject:
+		o := v.obj()
 		var n int64 = 8
-		for i, k := range v.obj.Keys() {
-			n += int64(len(k)) + v.obj.ValueAt(i).DeepSizeBytes()
+		for i, k := range o.Keys() {
+			n += int64(len(k)) + o.ValueAt(i).DeepSizeBytes()
 		}
 		return n
 	}
