@@ -34,7 +34,11 @@ func newAccumulator(spec AggSpec) accumulator {
 	case "ANY_VALUE":
 		return &anyValueAcc{}
 	case "ARRAY_AGG":
-		return &arrayAggAcc{distinct: spec.Distinct, seen: make(map[string]bool)}
+		a := &arrayAggAcc{distinct: spec.Distinct}
+		if spec.Distinct {
+			a.seen = make(map[string]bool)
+		}
+		return a
 	case "BOOLAND_AGG":
 		return &boolAgg{isAnd: true}
 	case "BOOLOR_AGG":
@@ -198,7 +202,7 @@ func (a *anyValueAcc) result([]bool) variant.Value {
 // the property the paper's KEEP-flag strategy relies on (§IV-C1).
 type arrayAggAcc struct {
 	distinct bool
-	seen     map[string]bool
+	seen     map[string]bool // DISTINCT only
 	kbuf     []byte
 	vals     []variant.Value
 	orders   [][]variant.Value

@@ -226,11 +226,7 @@ func prepareNode(n Node, ctx *execContext) (batchIter, error) {
 			in.Close()
 			return nil, err
 		}
-		width := len(x.Input.Schema().Names)
-		return &flattenIter{
-			in: in, input: input, outer: x.Outer, width: width,
-			bld: vector.NewBuilder(width+2, ctx.batchSize),
-		}, nil
+		return newFlattenIter(in, input, x.Outer, len(x.Input.Schema().Names), ctx.batchSize), nil
 	case *AggregateNode:
 		return prepareAggregate(x, ctx)
 	case *ParallelAggNode:
@@ -294,10 +290,9 @@ func drainRowsHooked(it batchIter, hook func()) ([][]variant.Value, error) {
 	}
 }
 
-// selTruthy returns the physical indices of the active rows whose value is
-// non-NULL and SQL-true.
-func selTruthy(b *vector.Batch, vals []variant.Value) []int {
-	var sel []int
+// appendTruthy appends to sel the physical indices of the active rows whose
+// value is non-NULL and SQL-true.
+func appendTruthy(sel []int, b *vector.Batch, vals []variant.Value) []int {
 	b.ForEach(func(i int) {
 		if !vals[i].IsNull() && truthySQL(vals[i]) {
 			sel = append(sel, i)
@@ -311,6 +306,7 @@ func selTruthy(b *vector.Batch, vals []variant.Value) []int {
 type filterIter struct {
 	in   batchIter
 	cond vecFn
+	sel  []int // selection of the last emitted batch, reused
 }
 
 func (f *filterIter) NextBatch() (*vector.Batch, error) {
@@ -323,11 +319,12 @@ func (f *filterIter) NextBatch() (*vector.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel := selTruthy(b, keep)
-		if len(sel) == 0 {
+		//jsqlint:ignore memcharge the selection buffer is overwritten per batch, never accumulated: it holds one batch's row indices, which the batch-lifetime contract bounds
+		f.sel = appendTruthy(f.sel[:0], b, keep)
+		if len(f.sel) == 0 {
 			continue
 		}
-		return b.WithSel(sel), nil
+		return b.WithSel(f.sel), nil
 	}
 }
 
@@ -361,6 +358,10 @@ type projectIter struct {
 	alias []int // input column index for pass-through, -1 for computed
 }
 
+// NextBatch emits the computed columns as the kernels' own output vectors,
+// without a copy: a kernel overwrites its vector only on its next call,
+// which is this operator's next NextBatch — exactly when the emitted batch
+// expires under the batch-lifetime contract (DESIGN.md §6).
 func (p *projectIter) NextBatch() (*vector.Batch, error) {
 	b, err := p.in.NextBatch()
 	if err != nil || b == nil {
@@ -370,10 +371,9 @@ func (p *projectIter) NextBatch() (*vector.Batch, error) {
 	var typed []*vector.TypedCol
 	for i, fn := range p.fns {
 		if src := p.alias[i]; src >= 0 {
-			// Pass-through: alias the input column's representation. The
-			// variant vector is stable (chunk storage or the batch's cached
-			// materialization); a typed view stays typed, so downstream
-			// kernels keep the fast path without a variant conversion.
+			// Pass-through: alias the input column's representation. A typed
+			// view stays typed, so downstream kernels keep the fast path
+			// without a variant conversion.
 			cols[i] = b.Cols[src]
 			if cols[i] == nil {
 				if tc := b.TypedCol(src); tc != nil {
@@ -385,83 +385,145 @@ func (p *projectIter) NextBatch() (*vector.Batch, error) {
 			}
 			continue
 		}
-		vals, err := fn(b)
-		if err != nil {
+		if cols[i], err = fn(b); err != nil {
 			return nil, err
 		}
-		// Copy out of the expression's reusable buffer: the emitted batch
-		// must stay valid until Close (sort and join retain batches).
-		c := make([]variant.Value, len(vals))
-		copy(c, vals)
-		cols[i] = c
 	}
 	// The projected vectors are aligned with the input's physical rows, so
 	// the selection carries over unchanged.
-	//jsqlint:ignore kernelalias pass-through columns alias stable input vectors or typed views, never reused kernel buffers; computed columns are copied above
+	//jsqlint:ignore kernelalias batch-lifetime contract: computed columns are the kernels' output vectors, overwritten only by this operator's next NextBatch, when the emitted batch expires; consumers that keep rows longer (the sort) copy them on arrival
 	return &vector.Batch{Cols: cols, Sel: b.Sel, Typed: typed}, nil
 }
 
 func (p *projectIter) Close() { p.in.Close() }
 
+// flattenIter expands every active input row into one output row per
+// element of its array (LATERAL FLATTEN), appending VALUE and INDEX; an
+// OUTER flatten keeps a row without elements once, with NULL/NULL. Output is
+// built column-wise: each gather plans the parent row, element and INDEX of
+// up to a batch of output rows, then copies the input columns over those
+// parents into output vectors the operator owns and reuses. Every buffer is
+// bounded by one batch and reused, so the steady state allocates per batch,
+// never per row. Output batches hold batchSize rows across input-batch
+// boundaries; each one is valid until the next NextBatch (DESIGN.md §6).
 type flattenIter struct {
-	in     batchIter
-	input  vecFn
-	outer  bool
-	width  int // input width; output adds VALUE and INDEX
-	bld    *vector.Builder
-	inDone bool
+	in    batchIter
+	input vecFn
+	outer bool
+	width int // input width; output adds VALUE and INDEX
+	size  int
+
+	// cur is the input batch being expanded: rows lists the active rows
+	// that produce output and arrs their flattened values. Expansion
+	// resumes at rows[row], element elem. cur stays valid meanwhile: the
+	// input is asked for its next batch only once rows are used up.
+	cur     *vector.Batch
+	rows    []int
+	arrs    []variant.Value
+	row     int
+	elem    int
+	inDone  bool
+	parents []int             // parent row of each output row of one gather
+	out     [][]variant.Value // width+2 reused output vectors
+}
+
+// newFlattenIter is the one constructor of the flatten operator, shared by
+// the streaming pipeline, the parallel aggregate's worker chains and view
+// refresh.
+func newFlattenIter(in batchIter, input vecFn, outer bool, width, batchSize int) *flattenIter {
+	if batchSize <= 0 {
+		batchSize = vector.DefaultBatchSize
+	}
+	return &flattenIter{
+		in: in, input: input, outer: outer, width: width, size: batchSize,
+		out: make([][]variant.Value, width+2),
+	}
 }
 
 func (f *flattenIter) NextBatch() (*vector.Batch, error) {
-	for {
-		if b := f.bld.Pop(); b != nil {
-			return b, nil
-		}
-		if f.inDone {
-			return f.bld.Flush(), nil
-		}
-		b, err := f.in.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			f.inDone = true
+	for c := range f.out {
+		f.out[c] = f.out[c][:0]
+	}
+	n := 0
+	for n < f.size {
+		if f.row == len(f.rows) {
+			if f.inDone {
+				break
+			}
+			if err := f.expand(); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		vals, err := f.input(b)
-		if err != nil {
-			return nil, err
+		f.plan(f.size - n)
+		for c := 0; c < f.width; c++ {
+			f.out[c] = f.cur.Gather(c, f.parents, f.out[c])
 		}
-		b.ForEach(func(i int) {
-			v := vals[i]
-			var elems []variant.Value
-			if v.Kind() == variant.KindArray {
-				elems = v.AsArray()
-			}
-			if len(elems) == 0 {
-				if f.outer {
-					// OUTER flatten keeps the row with NULL VALUE/INDEX.
-					row := make([]variant.Value, f.width+2)
-					for c := range b.Cols {
-						row[c] = b.Value(c, i)
-					}
-					row[f.width] = variant.Null
-					row[f.width+1] = variant.Null
-					f.bld.Append(row)
-				}
+		n += len(f.parents)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return &vector.Batch{Cols: f.out}, nil
+}
+
+// plan fills parents with up to room output rows of cur, appending their
+// VALUE and INDEX to the output vectors.
+func (f *flattenIter) plan(room int) {
+	f.parents = f.parents[:0]
+	vals, index := f.out[f.width], f.out[f.width+1]
+	for f.row < len(f.rows) && len(f.parents) < room {
+		i := f.rows[f.row]
+		elems := f.arrs[f.row].AsArray()
+		if len(elems) == 0 { // an OUTER flatten's row without elements
+			f.parents = append(f.parents, i)
+			vals = append(vals, variant.Null)
+			index = append(index, variant.Null)
+			f.row++
+			continue
+		}
+		end := min(len(elems), f.elem+room-len(f.parents))
+		for k := f.elem; k < end; k++ {
+			f.parents = append(f.parents, i)
+			vals = append(vals, elems[k])
+			index = append(index, variant.Int(int64(k)))
+		}
+		f.elem = end
+		if end == len(elems) {
+			f.row, f.elem = f.row+1, 0
+		}
+	}
+	f.out[f.width], f.out[f.width+1] = vals, index
+}
+
+// expand pulls the next input batch and lists its rows that produce output.
+func (f *flattenIter) expand() error {
+	f.rows, f.arrs, f.row, f.elem = f.rows[:0], f.arrs[:0], 0, 0
+	b, err := f.in.NextBatch()
+	if err != nil {
+		return err
+	}
+	f.cur = b
+	if b == nil {
+		f.inDone = true
+		return nil
+	}
+	vals, err := f.input(b)
+	if err != nil {
+		return err
+	}
+	b.ForEach(func(i int) {
+		v := vals[i]
+		if v.Kind() != variant.KindArray || v.Len() == 0 {
+			if !f.outer {
 				return
 			}
-			for k, e := range elems {
-				row := make([]variant.Value, f.width+2)
-				for c := range b.Cols {
-					row[c] = b.Value(c, i)
-				}
-				row[f.width] = e
-				row[f.width+1] = variant.Int(int64(k))
-				f.bld.Append(row)
-			}
-		})
-	}
+			v = variant.Null
+		}
+		f.rows = append(f.rows, i)
+		f.arrs = append(f.arrs, v)
+	})
+	return nil
 }
 
 func (f *flattenIter) Close() { f.in.Close() }
@@ -1252,8 +1314,8 @@ func (s *sortIter) NextBatch() (*vector.Batch, error) {
 	return s.out.NextBatch()
 }
 
-// sortRef addresses one row of the drained input: batch index + physical
-// row index.
+// sortRef addresses one kept row: index of the compacted batch + row
+// within it.
 type sortRef struct{ b, i int }
 
 // materialize drains the input (closing it as soon as the drain finishes,
@@ -1319,23 +1381,28 @@ func (s *sortIter) materialize() error {
 		if b == nil {
 			break
 		}
+		// The sort is the one operator that keeps its input past the
+		// producer's next NextBatch, so it copies what it keeps on arrival:
+		// the active rows, densely, and their key values out of the kernels'
+		// reusable buffers.
+		sel := b.ActiveSel()
 		kc := make([][]variant.Value, len(s.keys))
 		for k, fn := range s.keys {
 			vals, err := fn(b)
 			if err != nil {
 				return err
 			}
-			// Key vectors outlive the batch loop (the global sort reads them
-			// at the end), so detach them from the expressions' reusable
-			// buffers.
-			kc[k] = append([]variant.Value(nil), vals...)
+			kc[k] = make([]variant.Value, len(sel))
+			for n, i := range sel {
+				kc[k][n] = vals[i]
+			}
 		}
 		bi := len(batches)
-		batches = append(batches, b)
+		batches = append(batches, b.Compact())
 		keyCols = append(keyCols, kc)
-		b.ForEach(func(i int) {
+		for i := range sel {
 			refs = append(refs, sortRef{b: bi, i: i})
-		})
+		}
 		if s.mem.enabled() && s.mem.charge(activeRowsBytes(b)) {
 			if err := flushRun(); err != nil {
 				return err

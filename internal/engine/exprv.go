@@ -172,16 +172,29 @@ func compileVecFuncCall(ctx *execContext, sc *Schema, x *sqlast.FuncCall) (vecFn
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown function %s", name)
 	}
-	args := make([]vecFn, len(x.Args))
+	// Literal arguments are bound into argBuf once, here; only the other
+	// arguments are evaluated per batch and gathered per row.
+	argBuf := make([]variant.Value, len(x.Args))
+	var argIdx []int
+	var args []vecFn
 	for i, a := range x.Args {
+		if v, ok := litValue(a); ok {
+			argBuf[i] = v
+			continue
+		}
 		c, err := compileVec(ctx, sc, a)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = c
+		argIdx = append(argIdx, i)
+		args = append(args, c)
+	}
+	if name == "GET" && len(x.Args) == 2 && len(args) == 1 && argIdx[0] == 0 {
+		if get := compileVecGet(args[0], argBuf[1]); get != nil {
+			return get, nil
+		}
 	}
 	cols := make([][]variant.Value, len(args))
-	argBuf := make([]variant.Value, len(args))
 	var out []variant.Value
 	return func(b *vector.Batch) ([]variant.Value, error) {
 		for i, a := range args {
@@ -199,8 +212,8 @@ func compileVecFuncCall(ctx *execContext, sc *Schema, x *sqlast.FuncCall) (vecFn
 			if ferr != nil {
 				return
 			}
-			for c := range cols {
-				argBuf[c] = cols[c][i]
+			for c, col := range cols {
+				argBuf[argIdx[c]] = col[i]
 			}
 			out[i], ferr = fn(argBuf)
 		})
@@ -209,6 +222,40 @@ func compileVecFuncCall(ctx *execContext, sc *Schema, x *sqlast.FuncCall) (vecFn
 		}
 		return out, nil
 	}, nil
+}
+
+// compileVecGet specializes GET(v, <literal key>), the most common call in
+// the generated SQL: a string key compiles to a direct Field loop and an
+// integer key to a direct Index loop, with fnGet's semantics (NULL, a
+// missing field, a wrong kind or an out-of-range index all give NULL). Any
+// other key returns nil and keeps fnGet.
+func compileVecGet(obj vecFn, key variant.Value) vecFn {
+	var out []variant.Value
+	switch key.Kind() {
+	case variant.KindString:
+		field := key.AsString()
+		return func(b *vector.Batch) ([]variant.Value, error) {
+			vals, err := obj(b)
+			if err != nil {
+				return nil, err
+			}
+			out = growBuf(out, b.Len())
+			b.ForEach(func(i int) { out[i] = vals[i].Field(field) })
+			return out, nil
+		}
+	case variant.KindInt:
+		idx := int(key.AsInt())
+		return func(b *vector.Batch) ([]variant.Value, error) {
+			vals, err := obj(b)
+			if err != nil {
+				return nil, err
+			}
+			out = growBuf(out, b.Len())
+			b.ForEach(func(i int) { out[i] = vals[i].Index(idx) })
+			return out, nil
+		}
+	}
+	return nil
 }
 
 func compileVecBinary(ctx *execContext, sc *Schema, x *sqlast.Binary) (vecFn, error) {
@@ -300,15 +347,22 @@ func compileVecBinary(ctx *execContext, sc *Schema, x *sqlast.Binary) (vecFn, er
 	if err != nil {
 		return nil, err
 	}
+	// A literal operand is bound once instead of filling a column per batch.
+	lv, lLit := litValue(x.Left)
+	rv, rLit := litValue(x.Right)
 	var out []variant.Value
 	generic := func(b *vector.Batch) ([]variant.Value, error) {
-		l, err := left(b)
-		if err != nil {
-			return nil, err
+		var l, r []variant.Value
+		var err error
+		if !lLit {
+			if l, err = left(b); err != nil {
+				return nil, err
+			}
 		}
-		r, err := right(b)
-		if err != nil {
-			return nil, err
+		if !rLit {
+			if r, err = right(b); err != nil {
+				return nil, err
+			}
 		}
 		out = growBuf(out, b.Len())
 		var ferr error
@@ -316,7 +370,14 @@ func compileVecBinary(ctx *execContext, sc *Schema, x *sqlast.Binary) (vecFn, er
 			if ferr != nil {
 				return
 			}
-			out[i], ferr = fn(l[i], r[i])
+			a, c := lv, rv
+			if !lLit {
+				a = l[i]
+			}
+			if !rLit {
+				c = r[i]
+			}
+			out[i], ferr = fn(a, c)
 		})
 		if ferr != nil {
 			return nil, ferr

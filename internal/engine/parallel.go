@@ -141,6 +141,17 @@ type compiledStage struct {
 	width   int
 }
 
+// iter wraps in with the stage's operator.
+func (s *compiledStage) iter(in batchIter, batchSize int) batchIter {
+	switch {
+	case s.filter != nil:
+		return &filterIter{in: in, cond: s.cond}
+	case s.project != nil:
+		return &projectIter{in: in, fns: s.fns, alias: s.alias}
+	}
+	return newFlattenIter(in, s.input, s.flatten.Outer, s.width, batchSize)
+}
+
 // compileStages compiles the Filter/Project/Flatten chain (execution order)
 // for one worker.
 func compileStages(ctx *execContext, stages []Node) ([]compiledStage, error) {
@@ -661,18 +672,9 @@ func (p *paggIter) instantiate(src batchIter, cs []compiledStage, counts []*chai
 	if counts[0] != nil {
 		it = &countIter{in: it, c: counts[0]}
 	}
-	for i, s := range cs {
-		switch {
-		case s.filter != nil:
-			it = &filterIter{in: it, cond: s.cond}
-		case s.project != nil:
-			it = &projectIter{in: it, fns: s.fns, alias: s.alias}
-		case s.flatten != nil:
-			it = &flattenIter{
-				in: it, input: s.input, outer: s.flatten.Outer, width: s.width,
-				bld: vector.NewBuilder(s.width+2, p.ctx.batchSize),
-			}
-		}
+	for i := range cs {
+		s := &cs[i]
+		it = s.iter(it, p.ctx.batchSize)
 		if p.ctx.planCheck {
 			it = &checkIter{in: it, op: s.op}
 		}

@@ -119,7 +119,7 @@ func scanPartition(ctx *execContext, p *storage.Partition, colIdx []int, filter 
 			if err != nil {
 				return nil, bytes, err
 			}
-			sel := selTruthy(b, keep)
+			sel := appendTruthy(nil, b, keep)
 			if len(sel) == 0 {
 				continue
 			}

@@ -33,7 +33,6 @@ import (
 
 	"jsonpark/internal/sqlparse"
 	"jsonpark/internal/variant"
-	"jsonpark/internal/vector"
 )
 
 // viewRowsNode replays a view's aggregate output rows so the stateless
@@ -350,16 +349,7 @@ func (v *matView) refreshLocked(ctx *execContext) error {
 		}
 		it := batchIter(&staticBatches{batches: batches})
 		for si := range cs {
-			s := &cs[si]
-			switch {
-			case s.filter != nil:
-				it = &filterIter{in: it, cond: s.cond}
-			case s.project != nil:
-				it = &projectIter{in: it, fns: s.fns, alias: s.alias}
-			case s.flatten != nil:
-				it = &flattenIter{in: it, input: s.input, outer: s.flatten.Outer, width: s.width,
-					bld: vector.NewBuilder(s.width+2, ctx.batchSize)}
-			}
+			it = cs[si].iter(it, ctx.batchSize)
 		}
 		for {
 			if err := ctx.cancelled(); err != nil {

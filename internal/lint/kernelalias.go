@@ -19,16 +19,25 @@ import (
 //
 // Intentional aliasing (a column-reference kernel returns the stable input
 // column) is suppressed with //jsqlint:ignore kernelalias plus a reason.
+//
+// The same holds one level up, for operators: a batch returned by
+// NextBatch() is valid only until the producer's next NextBatch or Close
+// (flatten reuses its output vectors, project emits its kernels' buffers).
+// Passing such a batch on is fine; keeping it is not, so a NextBatch result
+// — or one of its Cols vectors — appended to a slice or sent on a channel
+// is reported. A consumer that keeps rows copies them on arrival
+// (b.Compact(), b.AppendRows, append(dst, col...)).
 var KernelAlias = &Analyzer{
 	Name: "kernelalias",
-	Doc:  "kernel output vectors must not be retained past the kernel's next call",
+	Doc:  "kernel output vectors and NextBatch results must not be retained past the producer's next call",
 	Run:  runKernelAlias,
 }
 
 func runKernelAlias(pass *Pass) error {
 	for _, f := range pass.Files {
 		for _, unit := range funcUnits(f) {
-			w := &aliasWalker{pass: pass, body: unit.body, taint: map[types.Object]bool{}}
+			w := &aliasWalker{pass: pass, body: unit.body,
+				taint: map[types.Object]bool{}, batches: map[types.Object]bool{}}
 			w.walkStmts(unit.body.List)
 		}
 	}
@@ -39,6 +48,124 @@ type aliasWalker struct {
 	pass  *Pass
 	body  *ast.BlockStmt
 	taint map[types.Object]bool
+	// batches holds the locals bound to a NextBatch result, a view of one
+	// (WithSel), or one of its column vectors.
+	batches map[types.Object]bool
+}
+
+// isNextBatchCall reports whether call is x.NextBatch() returning a batch.
+func (w *aliasWalker) isNextBatchCall(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "NextBatch" || len(call.Args) != 0 {
+		return false
+	}
+	tv, ok := w.pass.Info.Types[call.Fun]
+	if !ok {
+		return false
+	}
+	sig, ok := tv.Type.(*types.Signature)
+	return ok && sig.Results().Len() == 2 && isBatchType(sig.Results().At(0).Type())
+}
+
+// batchData reports whether e evaluates to a producer-owned batch (a
+// NextBatch result or a view of one) or one of its column vectors.
+func (w *aliasWalker) batchData(e ast.Expr) bool {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := w.pass.Info.ObjectOf(x)
+		return obj != nil && w.batches[obj]
+	case *ast.SelectorExpr: // b.Cols
+		return x.Sel.Name == "Cols" && w.batchData(x.X)
+	case *ast.IndexExpr: // b.Cols[c]
+		return w.batchData(x.X)
+	case *ast.SliceExpr:
+		return w.batchData(x.X)
+	case *ast.CallExpr:
+		if w.isNextBatchCall(x) {
+			return true
+		}
+		// b.WithSel(sel) shares b's vectors; b.Column(c) returns one.
+		if sel, ok := x.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "WithSel" || sel.Sel.Name == "Column") {
+			return w.batchData(sel.X)
+		}
+	case *ast.UnaryExpr:
+		return x.Op == token.AND && w.batchData(x.X)
+	case *ast.CompositeLit:
+		for _, el := range x.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			if w.batchData(el) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkBatchRetention reports every append in e that keeps batch data as
+// an element: append(dst, b), append(dst, b.Cols[c]) or, spreading the
+// column vectors themselves, append(dst, b.Cols...). Spreading one column,
+// append(dst, b.Cols[c]...), copies its values and passes.
+func (w *aliasWalker) checkBatchRetention(e ast.Expr) {
+	ast.Inspect(e, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false // its own unit
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		id, ok := call.Fun.(*ast.Ident)
+		if !ok || id.Name != "append" || len(call.Args) < 2 {
+			return true
+		}
+		if obj := w.pass.Info.ObjectOf(id); obj != nil && obj.Parent() != types.Universe {
+			return true
+		}
+		kept := call.Args[1:]
+		if call.Ellipsis != token.NoPos {
+			kept = nil
+			if sel, ok := ast.Unparen(call.Args[1]).(*ast.SelectorExpr); ok && w.batchData(sel) {
+				kept = call.Args[1:] // b.Cols...: the vectors, not their values
+			}
+		}
+		for _, a := range kept {
+			if w.batchData(a) {
+				w.pass.Reportf(a.Pos(), "NextBatch result appended without a copy; it is valid only until the producer's next NextBatch — copy the rows on arrival (Compact, AppendRows)")
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// trackBatches records which locals an assignment binds to batch data.
+func (w *aliasWalker) trackBatches(lhs, rhs []ast.Expr) {
+	set := func(l ast.Expr, on bool) {
+		id, ok := l.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
+		}
+		if obj := w.pass.Info.ObjectOf(id); obj != nil {
+			if on {
+				w.batches[obj] = true
+			} else {
+				delete(w.batches, obj)
+			}
+		}
+	}
+	if len(rhs) == 1 && len(lhs) > 1 {
+		if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
+			set(lhs[0], w.isNextBatchCall(call))
+		}
+		return
+	}
+	if len(lhs) == len(rhs) {
+		for i := range lhs {
+			set(lhs[i], w.batchData(rhs[i]))
+		}
+	}
 }
 
 // isKernelCall reports whether the call invokes a value of the kernel
@@ -198,7 +325,15 @@ func (w *aliasWalker) walkStmts(stmts []ast.Stmt) {
 func (w *aliasWalker) walkStmt(s ast.Stmt) {
 	switch x := s.(type) {
 	case *ast.AssignStmt:
+		for _, r := range x.Rhs {
+			w.checkBatchRetention(r)
+		}
 		w.assign(x.Lhs, x.Rhs, x)
+		w.trackBatches(x.Lhs, x.Rhs)
+	case *ast.SendStmt:
+		if w.batchData(x.Value) {
+			w.pass.Reportf(x.Value.Pos(), "NextBatch result sent on a channel without a copy; it is valid only until the producer's next NextBatch — copy the rows first (Compact, AppendRows)")
+		}
 	case *ast.DeclStmt:
 		if gd, ok := x.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -210,7 +345,11 @@ func (w *aliasWalker) walkStmt(s ast.Stmt) {
 				for i, n := range vs.Names {
 					lhs[i] = n
 				}
+				for _, v := range vs.Values {
+					w.checkBatchRetention(v)
+				}
 				w.assign(lhs, vs.Values, x)
+				w.trackBatches(lhs, vs.Values)
 			}
 		}
 	case *ast.ReturnStmt:

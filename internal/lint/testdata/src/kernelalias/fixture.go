@@ -155,3 +155,74 @@ func useCount(b *vector.Batch) error {
 	_ = n
 	return nil
 }
+
+// producer stands in for an operator: the batch its NextBatch returns is
+// valid only until the next call.
+type producer struct{}
+
+func (p *producer) NextBatch() (*vector.Batch, error) { return nil, nil }
+
+// True positive: sort-style retention keeps every batch across NextBatch
+// calls without copying it.
+func retainBatches(p *producer) ([]*vector.Batch, error) {
+	var kept []*vector.Batch
+	for {
+		b, err := p.NextBatch()
+		if err != nil || b == nil {
+			return kept, err
+		}
+		kept = append(kept, b) // want `NextBatch result appended without a copy`
+	}
+}
+
+// True positive: keeping one column vector, or a selection view, is
+// retention too.
+func retainColumn(p *producer) ([][]variant.Value, error) {
+	var cols [][]variant.Value
+	b, err := p.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	cols = append(cols, b.Cols[0]) // want `NextBatch result appended without a copy`
+	view := b.WithSel(nil)
+	cols = append(cols, view.Cols...) // want `NextBatch result appended without a copy`
+	return cols, nil
+}
+
+// True positive: handing a batch to another goroutine outlives the call.
+func sendBatch(p *producer, ch chan *vector.Batch) error {
+	b, err := p.NextBatch()
+	if err != nil {
+		return err
+	}
+	ch <- b // want `NextBatch result sent on a channel without a copy`
+	return nil
+}
+
+// Guarded false positive: copying the rows on arrival detaches them from
+// the producer's buffers.
+func copyOnArrival(p *producer) ([]*vector.Batch, [][]variant.Value, error) {
+	var kept []*vector.Batch
+	var col []variant.Value
+	var rows [][]variant.Value
+	for {
+		b, err := p.NextBatch()
+		if err != nil || b == nil {
+			return kept, rows, err
+		}
+		kept = append(kept, b.Compact())
+		col = append(col, b.Cols[0]...)
+		rows = b.AppendRows(rows)
+		_ = col
+	}
+}
+
+// Guarded false positive: passing a batch through to the caller is the
+// contract's normal use — it expires with the caller's next call.
+func passThrough(p *producer) (*vector.Batch, error) {
+	b, err := p.NextBatch()
+	if err != nil || b == nil {
+		return nil, err
+	}
+	return b.WithSel(nil), nil
+}

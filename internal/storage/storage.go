@@ -272,8 +272,12 @@ func (t *Table) Append(row []variant.Value) error {
 
 // AppendObject adds one row from an object value: each table column is taken
 // from the object's same-named field (missing fields become NULL). This is
-// the schema-oblivious multi-column staging of §III-C.
+// the schema-oblivious multi-column staging of §III-C. A document that is
+// not an object is an error and appends nothing.
 func (t *Table) AppendObject(obj variant.Value) error {
+	if obj.Kind() != variant.KindObject {
+		return fmt.Errorf("storage: table %q: document is a %s, not an object", t.Name, obj.Kind())
+	}
 	row := make([]variant.Value, len(t.Columns))
 	for i, c := range t.Columns {
 		row[i] = obj.Field(c)

@@ -134,7 +134,8 @@ func TestObjectIndexThreshold(t *testing.T) {
 // FuzzValueCodec parses two JSON documents and checks that the binary
 // codec, the group key and JSON rendering round-trip each value, and that
 // Compare orders the round-tripped values as it orders the originals. The
-// seed corpus runs under plain `go test`.
+// first input is also decoded as raw binary, which must return a value or
+// an error, never panic. The seed corpus runs under plain `go test`.
 func FuzzValueCodec(f *testing.F) {
 	seeds := [][2]string{
 		{`null`, `false`},
@@ -146,11 +147,13 @@ func FuzzValueCodec(f *testing.F) {
 		{`{}`, `{"b":"y","a":1}`},
 		{`{"a":1,"b":2,"c":3,"d":4,"e":5,"f":6,"g":7,"h":8,"i":9,"j":{"k":[]}}`, `{"a":1,"b":2}`},
 		{`{"event":1,"jets":[{"pt":30.5,"eta":-1.2},{"pt":12,"eta":0.4}]}`, `[1e300,-1e-300]`},
+		{corruptArrayLen, `null`},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, ja, jb string) {
+		_, _, _ = DecodeBinary([]byte(ja)) // arbitrary bytes: only a panic fails
 		a, errA := ParseJSON([]byte(ja))
 		b, errB := ParseJSON([]byte(jb))
 		if errA != nil || errB != nil {
@@ -189,4 +192,18 @@ func FuzzValueCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// corruptArrayLen is an array tag with a length prefix near 2^63 and no
+// elements: a damaged spill record.
+const corruptArrayLen = "\x06\xff\xff\xff\xff\xff\xff\xff\xff\x7f"
+
+// TestDecodeCorruptArrayLength pins that a corrupt array length is a decode
+// error, not a "makeslice: cap out of range" panic.
+func TestDecodeCorruptArrayLength(t *testing.T) {
+	for _, in := range []string{corruptArrayLen, corruptArrayLen + "\x00\x00", "\x06\x03\x00"} {
+		if v, _, err := DecodeBinary([]byte(in)); err == nil {
+			t.Errorf("DecodeBinary(% x) = %s, want an error", in, v)
+		}
+	}
 }

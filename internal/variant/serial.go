@@ -108,7 +108,9 @@ func DecodeBinary(src []byte) (Value, []byte, error) {
 			return Null, nil, fmt.Errorf("variant: decode: bad array length")
 		}
 		src = src[w:]
-		elems := make([]Value, 0, n)
+		// Every element takes at least one byte, so the remaining input
+		// bounds the preallocation; a corrupt length fails below instead.
+		elems := make([]Value, 0, min(n, uint64(len(src))))
 		for i := uint64(0); i < n; i++ {
 			var e Value
 			var err error

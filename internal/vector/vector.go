@@ -28,6 +28,11 @@ const DefaultBatchSize = 1024
 // Column vectors may alias storage owned by others (scan batches alias the
 // micro-partition chunks; projections alias their inputs), so consumers must
 // never mutate Cols in place — operators produce new vectors instead.
+//
+// A batch returned by an operator's NextBatch is valid until the next
+// NextBatch or Close on that operator: producers reuse their output vectors
+// (flatten) or emit their expression kernels' buffers (project). A consumer
+// that keeps rows longer copies them first (Compact, AppendRows).
 type Batch struct {
 	Cols  [][]variant.Value
 	Sel   []int
@@ -141,19 +146,63 @@ func (b *Batch) Row(i int, buf []variant.Value) []variant.Value {
 	return buf
 }
 
-// AppendRows materializes every active row and appends them to rows.
+// AppendRows materializes every active row and appends them to rows. The
+// rows of one call share a single backing slab, each capped at its width,
+// so an append by the caller to one row copies it instead of overwriting
+// its neighbour.
 func (b *Batch) AppendRows(rows [][]variant.Value) [][]variant.Value {
+	w := len(b.Cols)
 	for c := range b.Cols {
 		b.Column(c)
 	}
+	slab := make([]variant.Value, b.NumRows()*w)
 	b.ForEach(func(i int) {
-		row := make([]variant.Value, len(b.Cols))
+		row := slab[:w:w]
+		slab = slab[w:]
 		for c := range b.Cols {
 			row[c] = b.Cols[c][i]
 		}
 		rows = append(rows, row)
 	})
 	return rows
+}
+
+// Gather appends column c's values at the given physical rows to dst and
+// returns it. A typed-only column converts row by row and is never
+// materialized whole, so gathering a few rows costs only those rows.
+func (b *Batch) Gather(c int, rows []int, dst []variant.Value) []variant.Value {
+	if col := b.Cols[c]; col != nil {
+		for _, i := range rows {
+			dst = append(dst, col[i])
+		}
+		return dst
+	}
+	tc := b.TypedCol(c)
+	for _, i := range rows {
+		if tc != nil {
+			dst = append(dst, tc.ValueAt(i))
+		} else {
+			dst = append(dst, variant.Null)
+		}
+	}
+	return dst
+}
+
+// Compact returns a dense copy of the active rows that shares no storage
+// with b: every column is gathered into one slab owned by the caller. An
+// operator that keeps rows past the producer's next NextBatch (the sort)
+// compacts each batch on arrival.
+func (b *Batch) Compact() *Batch {
+	sel := b.ActiveSel()
+	n := len(sel)
+	slab := make([]variant.Value, 0, n*len(b.Cols))
+	cols := make([][]variant.Value, len(b.Cols))
+	for c := range cols {
+		lo := len(slab)
+		slab = b.Gather(c, sel, slab)
+		cols[c] = slab[lo:len(slab):len(slab)]
+	}
+	return &Batch{Cols: cols}
 }
 
 // ColumnizeRows converts rows[lo:hi] from row-major to a dense column-major
@@ -182,9 +231,9 @@ func (b *Batch) Truncate(n int) {
 	b.Sel = b.Sel[:n]
 }
 
-// Builder accumulates rows into fixed-size batches. Operators that expand or
-// recombine rows (flatten, join, aggregate, sort) feed it row-wise and emit
-// dense batches of the configured size.
+// Builder accumulates rows into fixed-size batches. Operators that recombine
+// rows (the join probe, the sort-run merge) feed it row-wise and emit dense
+// batches of the configured size; each emitted batch owns fresh vectors.
 type Builder struct {
 	width int
 	size  int

@@ -124,3 +124,50 @@ func TestBuilderRowOrderPreserved(t *testing.T) {
 		t.Fatalf("lost rows: %v", got)
 	}
 }
+
+// TestAppendRowsSlabRowsAreCapped: the rows of one AppendRows call share a
+// slab, so each is capped at its width — an append to one row must copy it
+// rather than overwrite the next row.
+func TestAppendRowsSlabRowsAreCapped(t *testing.T) {
+	b := &Batch{Cols: [][]variant.Value{
+		{variant.Int(1), variant.Int(2), variant.Int(3)},
+		{variant.String("a"), variant.String("b"), variant.String("c")},
+	}}
+	rows := b.AppendRows(nil)
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows", len(rows))
+	}
+	for i, r := range rows {
+		if len(r) != 2 || cap(r) != 2 {
+			t.Fatalf("row %d: len %d cap %d, want 2/2", i, len(r), cap(r))
+		}
+	}
+	_ = append(rows[0], variant.Int(99))
+	if got := rows[1][0].AsInt(); got != 2 {
+		t.Fatalf("append to row 0 overwrote row 1: %d", got)
+	}
+}
+
+// TestCompactCopiesActiveRows: Compact keeps exactly the active rows,
+// converts typed-only columns row by row, and shares no storage with the
+// source, so the source may be overwritten afterwards.
+func TestCompactCopiesActiveRows(t *testing.T) {
+	vcol := []variant.Value{variant.Int(10), variant.Int(11), variant.Int(12), variant.Int(13)}
+	b := &Batch{
+		Cols:  [][]variant.Value{vcol, nil},
+		Typed: []*TypedCol{nil, NewStringCol([]string{"w", "x", "y", "z"}, nil)},
+		Sel:   []int{1, 3},
+	}
+	c := b.Compact()
+	vcol[1] = variant.Int(-1) // the producer reuses its vector
+	if c.Sel != nil || c.NumRows() != 2 || c.Width() != 2 {
+		t.Fatalf("compact: sel %v rows %d width %d", c.Sel, c.NumRows(), c.Width())
+	}
+	got := c.Cols[0][0].JSON() + c.Cols[0][1].JSON() + c.Cols[1][0].JSON() + c.Cols[1][1].JSON()
+	if want := `1113"x""z"`; got != want {
+		t.Fatalf("compact rows = %s, want %s", got, want)
+	}
+	if b.Cols[1] != nil {
+		t.Fatal("Compact materialized the typed column of its source")
+	}
+}

@@ -213,3 +213,33 @@ func TestWarehouseConcurrentLoadAndQuery(t *testing.T) {
 		t.Fatalf("after the loads: translated %d items, interpreted %d, want %d", len(got), len(want), loaders*perLoader/2)
 	}
 }
+
+// TestLoadRejectsNonObjects: the library load path takes objects only. A
+// scalar, array or string document returns an error and loads nothing, so
+// both the translated and the interpreted query see the collection as
+// before.
+func TestLoadRejectsNonObjects(t *testing.T) {
+	w := exampleWarehouse(t)
+	const q = `for $o in collection("orders") return $o.id`
+	snapshot := func() string {
+		t.Helper()
+		got, err := w.QueryItems(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		interp, err := w.QueryInterpreted(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(got, " | ", interp)
+	}
+	before := snapshot()
+	for _, doc := range []string{`5`, `[1]`, `"s"`} {
+		if err := w.LoadJSON("orders", doc); err == nil {
+			t.Errorf("LoadJSON(%s) = nil, want an error", doc)
+		}
+		if after := snapshot(); after != before {
+			t.Fatalf("after LoadJSON(%s): %s, want %s", doc, after, before)
+		}
+	}
+}
